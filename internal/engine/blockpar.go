@@ -15,7 +15,8 @@ package engine
 //     L3, backing memory, the sync controller, or another block).
 //     Classification is conservative: when in doubt, GLOBAL.
 //   - Each shard executes its own threads in (local clock, thread ID)
-//     order — exactly the serial heap order restricted to the shard. A
+//     order — exactly the serial run-queue order restricted to the
+//     shard, from a tournament tree of its own over the same keys. A
 //     shard with NO blocked threads free-runs: it executes local ops
 //     without looking at any sibling, because local ops of different
 //     shards commute and nothing can be delivered into a shard whose
@@ -93,43 +94,32 @@ type ShardedHierarchy interface {
 	OpLocal(core int, op *isa.Op) bool
 }
 
-// maxParThreads bounds thread ids so they pack into the low 16 bits of a
-// clock key. Larger machines fall back to the serial scheduler.
-const maxParThreads = 1 << 16
-
-// maxKey is the published clock of a shard with nothing pending.
-const maxKey = ^uint64(0)
-
 // parPhaseBudget caps the ops one shard executes per phase, bounding the
 // coordinator's control latency (ctx polls, watchdog) without affecting
 // results: a budget quiesce just splits a phase in two.
 const parPhaseBudget = 1 << 15
 
-// key orders (time, thread id) lexicographically in one uint64 compare.
-// Simulated clocks stay far below 2^47 cycles, so the shift is safe.
-func key(t *thread) uint64 { return uint64(t.time)<<16 | uint64(t.id) }
-
 // parShard is one block's scheduler state.
 type parShard struct {
 	idx int
-	rq  runq
+	// rq keys the shard's ready threads at shard-local slots; its root is
+	// the shard's next op. A thread whose op waits across a quiesce stays
+	// keyed there with the op unconsumed in its ring.
+	rq runq
 
 	// clock is the shard's published lower bound on the key of any op it
-	// may still execute this phase; maxKey when it has nothing pending.
+	// may still execute this phase; emptyKey when it has nothing pending.
 	// quiet is set (after the final clock store) when the shard's phase
 	// goroutine has gone quiescent. Both are read by sibling shards'
 	// horizon checks.
 	clock atomic.Uint64
 	quiet atomic.Bool
 
-	// held is the thread in hand across a quiesce; heldOp its already
-	// popped op (nil after a budget quiesce: re-fetched on resume; the
-	// pointer aliases the guest's ring slot and is stable because the
-	// guest is not resumed until the op executes). heldGlobal marks that
-	// heldOp awaits the coordinator.
-	held       *thread
-	heldOp     *isa.Op
-	heldGlobal bool
+	// parked marks a shard that quiesced because its minimum op is GLOBAL
+	// and awaits the coordinator; the coordinator does not release it.
+	// Cleared when the coordinator runs a shard op and when a wake lands
+	// in the shard (the woken thread may order first).
+	parked bool
 
 	// blocked counts the shard's threads parked in the sync controller;
 	// maintained by the coordinator (block/wake). freeRun is set at
@@ -163,18 +153,6 @@ type parGroup struct {
 	join  sync.WaitGroup // shard goroutine lifetimes
 }
 
-// pendingKey is the key of the shard's next op (held thread first, then
-// the queue minimum), or maxKey when it has none.
-func (p *parShard) pendingKey() uint64 {
-	if p.held != nil {
-		return key(p.held)
-	}
-	if m := p.rq.peek(); m != nil {
-		return key(m)
-	}
-	return maxKey
-}
-
 // runBlockParallel is the coordinator loop. Each round it executes
 // GLOBAL ops serially while they are the global frontier minimum, then
 // releases every shard whose next op is local for one concurrent phase,
@@ -182,17 +160,24 @@ func (p *parShard) pendingKey() uint64 {
 func (e *Engine) runBlockParallel(ctx context.Context, sh ShardedHierarchy) (*Result, error) {
 	n := sh.ParallelShards()
 	g := &parGroup{e: e, sh: sh, shards: make([]*parShard, n), shardOf: make([]int, len(e.ts))}
-	for i := range g.shards {
-		g.shards[i] = &parShard{idx: i, resume: make(chan struct{}, 1)}
-		g.shards[i].clock.Store(maxKey)
-	}
+	slots := make([]int, n)
 	for _, t := range e.ts {
 		s := sh.ShardOf(t.id)
 		if s < 0 || s >= n {
 			return nil, fmt.Errorf("engine: ShardOf(%d) = %d out of range [0,%d)", t.id, s, n)
 		}
 		g.shardOf[t.id] = s
-		g.shards[s].rq.push(t)
+		t.slot = slots[s]
+		slots[s]++
+	}
+	for i := range g.shards {
+		p := &parShard{idx: i, resume: make(chan struct{}, 1)}
+		p.clock.Store(emptyKey)
+		p.rq.init(slots[i])
+		g.shards[i] = p
+	}
+	for _, t := range e.ts {
+		g.shards[g.shardOf[t.id]].rq.set(t.slot, uint64(t.id)) // every clock starts at 0
 	}
 	e.par = g
 	defer func() { e.par = nil }()
@@ -216,10 +201,6 @@ func (e *Engine) runBlockParallel(ctx context.Context, sh ShardedHierarchy) (*Re
 	defer stopShards()
 
 	res := &Result{PerThread: make([]stats.Stalls, len(e.ts))}
-	limit := e.NoProgressLimit
-	if limit <= 0 {
-		limit = DefaultNoProgressLimit
-	}
 	stop := ctx.Done()
 	var idle int64
 	for {
@@ -233,14 +214,14 @@ func (e *Engine) runBlockParallel(ctx context.Context, sh ShardedHierarchy) (*Re
 		}
 
 		// Serial frontier: execute the minimum pending op while it is
-		// GLOBAL. The coordinator may pop and classify freely — every
+		// GLOBAL. The coordinator may peek and classify freely — every
 		// shard is quiescent here.
 		localFrontier := false
 		for {
 			var p *parShard
-			min := maxKey
+			min := emptyKey
 			for _, s := range g.shards {
-				if k := s.pendingKey(); k < min {
+				if k := s.rq.min(); k < min {
 					min, p = k, s
 				}
 			}
@@ -252,29 +233,23 @@ func (e *Engine) runBlockParallel(ctx context.Context, sh ShardedHierarchy) (*Re
 				e.shutdown()
 				return nil, err
 			}
-			if p.held == nil {
-				p.held = p.rq.pop()
+			t := e.ts[min&idMask]
+			op, ok := e.peekOp(t)
+			if !ok {
+				t.state = done
+				p.rq.remove(t)
+				e.progressed = true
+				idle = 0
+				continue
 			}
-			if p.heldOp == nil {
-				op, ok := e.nextOp(p.held)
-				if !ok {
-					p.held.state = done
-					p.held = nil
-					e.progressed = true
-					idle = 0
-					continue
-				}
-				p.heldOp = op
-				p.heldGlobal = op.Kind.IsSync() || !sh.OpLocal(p.held.id, op)
-			}
-			if !p.heldGlobal {
+			p.parked = false
+			if !op.Kind.IsSync() && sh.OpLocal(t.id, op) {
 				localFrontier = true
 				break
 			}
-			t, op := p.held, p.heldOp
-			p.held, p.heldOp = nil, nil
+			t.pipe.drop()
 			if op.Kind == isa.OpDMACopy && op.Peer >= 0 && op.Peer < len(g.shards) &&
-				op.Peer != g.shardOf[t.id] && g.shards[op.Peer].maxExec > key(t) {
+				op.Peer != g.shardOf[t.id] && g.shards[op.Peer].maxExec > min {
 				err := fmt.Errorf("engine: block-parallel run reordered a cross-block DMA: "+
 					"target block %d already simulated past cycle %d; sync the target "+
 					"before the transfer or run serially", op.Peer, t.time)
@@ -282,17 +257,17 @@ func (e *Engine) runBlockParallel(ctx context.Context, sh ShardedHierarchy) (*Re
 				return nil, err
 			}
 			runnable, err := e.stepPipelined(t, op, res)
+			if err == nil && runnable {
+				err = p.rq.update(t)
+			}
 			if err != nil {
 				e.shutdown()
 				return nil, err
 			}
-			if runnable {
-				p.rq.push(t)
-			}
 			if e.progressed {
 				e.progressed = false
 				idle = 0
-			} else if idle++; idle >= limit {
+			} else if idle++; idle >= e.limit {
 				lerr := &LivelockError{Steps: idle, Blocked: e.blockedIDs()}
 				e.shutdown()
 				return nil, lerr
@@ -302,23 +277,19 @@ func (e *Engine) runBlockParallel(ctx context.Context, sh ShardedHierarchy) (*Re
 			continue
 		}
 
-		// Concurrent phase: release every shard whose next op is not a
-		// parked GLOBAL. Mark them running and publish their clocks
-		// before any goroutine starts, so no shard can race past a
+		// Concurrent phase: release every shard with pending ops that is
+		// not parked at a GLOBAL. Mark them running and publish their
+		// clocks before any goroutine starts, so no shard can race past a
 		// sibling's pending key.
 		running := g.shards[:0:0]
 		for _, p := range g.shards {
-			if p.heldGlobal && p.held != nil {
-				p.clock.Store(key(p.held))
-				continue
-			}
-			if p.held == nil && p.rq.len() == 0 {
-				p.clock.Store(maxKey)
+			k := p.rq.min()
+			p.clock.Store(k)
+			if p.parked || k == emptyKey {
 				continue
 			}
 			p.freeRun = p.blocked == 0
 			p.quiet.Store(false)
-			p.clock.Store(p.pendingKey())
 			running = append(running, p)
 		}
 		g.phase.Add(len(running))
@@ -343,7 +314,7 @@ func (e *Engine) runBlockParallel(ctx context.Context, sh ShardedHierarchy) (*Re
 		}
 		if prog {
 			idle = 0
-		} else if idle += steps; idle >= limit {
+		} else if idle += steps; idle >= e.limit {
 			lerr := &LivelockError{Steps: idle, Blocked: e.blockedIDs()}
 			e.shutdown()
 			return nil, lerr
@@ -368,38 +339,29 @@ func (e *Engine) finishPar(g *parGroup, res *Result) (*Result, error) {
 // budget. It runs on the shard's goroutine; everything it touches is
 // shard-owned or read through the clock/quiet atomics.
 func (p *parShard) runPhase(e *Engine, g *parGroup) {
-	t, op := p.held, p.heldOp
-	p.held, p.heldOp = nil, nil
 	// horizon caches the last observed minimum of the sibling clocks;
 	// within a phase sibling clocks only grow, so any key below it needs
 	// no rescan.
 	var horizon uint64
 	quiesce := func(global bool) {
-		p.held, p.heldOp, p.heldGlobal = t, op, global
-		if t != nil {
-			p.clock.Store(key(t))
-		} else {
-			p.clock.Store(maxKey)
-		}
+		p.parked = global
+		p.clock.Store(p.rq.min())
 		p.quiet.Store(true)
 	}
 	for {
-		if t == nil {
-			if t = p.rq.pop(); t == nil {
-				quiesce(false)
-				return
-			}
+		k := p.rq.min()
+		if k == emptyKey {
+			quiesce(false)
+			return
 		}
-		if op == nil {
-			var ok bool
-			if op, ok = e.nextOp(t); !ok {
-				t.state = done
-				p.progressed = true
-				t = nil
-				continue
-			}
+		t := e.ts[k&idMask]
+		op, ok := e.peekOp(t)
+		if !ok {
+			t.state = done
+			p.rq.remove(t)
+			p.progressed = true
+			continue
 		}
-		k := key(t)
 		p.clock.Store(k)
 		if op.Kind.IsSync() || !g.sh.OpLocal(t.id, op) {
 			quiesce(true)
@@ -412,8 +374,12 @@ func (p *parShard) runPhase(e *Engine, g *parGroup) {
 				return
 			}
 		}
+		t.pipe.drop()
 		p.ops[op.Kind]++
 		val, err := e.execOp(t, op)
+		if err == nil {
+			err = p.rq.update(t)
+		}
 		if err != nil {
 			p.err = err
 			quiesce(false)
@@ -425,13 +391,9 @@ func (p *parShard) runPhase(e *Engine, g *parGroup) {
 		if op.Kind == isa.OpLoad || op.Kind == isa.OpLoadU {
 			t.loadVal = val
 		}
-		op = nil
 		if p.phaseSteps++; p.phaseSteps >= parPhaseBudget {
 			quiesce(false)
 			return
-		}
-		if m := p.rq.peek(); m != nil && runqLess(m, t) {
-			t = p.rq.swapMin(t)
 		}
 	}
 }
@@ -448,7 +410,7 @@ const horizonSpinLimit = 64
 // quiesce too (ok=false): the coordinator advances the frontier then.
 func (p *parShard) waitHorizon(g *parGroup, k uint64) (uint64, bool) {
 	for spins := 0; ; spins++ {
-		min := maxKey
+		min := emptyKey
 		var owner *parShard
 		for _, s := range g.shards {
 			if s == p {

@@ -17,21 +17,23 @@
 // The engine is event-driven (see DESIGN.md §10): guests deposit
 // operations that return no value into a per-thread ring without waiting
 // for execution and suspend only at loads, so the scheduler's hot loop is
-// a heap pop, a ring pop, the hierarchy call, and a heap re-push. Control
-// moves between a guest and the scheduler by direct coroutine switch —
-// never through the Go scheduler, so there is no goroutine parking or
-// wakeup anywhere on the hot path, and guest and scheduler never run
-// concurrently. Blocked threads leave the run queue entirely; their wake
-// is a grant event whose timestamp re-enters the heap, so when every core
-// is quiescent the pop itself jumps global time directly to the earliest
-// pending grant. Execution order is unchanged from the synchronous
-// engine: the heap pops a unique (time, thread-ID) minimum, and a
-// thread's clock is final before it is re-pushed, so the operation
-// sequence — and therefore every result, event stream, and span — is
-// byte-identical. When an external Scheduler is installed (litmus
-// exploration), the engine falls back to the synchronous one-op
-// rendezvous, which keeps candidate sets (pending ops included)
-// observable at every decision point.
+// a read of the run queue's root, a ring pop, the hierarchy call, and a
+// log2(P) re-key of one tournament-tree leaf. A guest the scheduler has
+// resumed executes its own ops while it remains the minimum, with no
+// switch at all. Control moves between a guest and the scheduler by
+// direct coroutine switch — never through the Go scheduler, so there is
+// no goroutine parking or wakeup anywhere on the hot path, and guest and
+// scheduler never run concurrently. Blocked threads leave the run queue
+// entirely; their wake is a grant event whose timestamp re-enters the
+// tree, so when every core is quiescent the root itself jumps global time
+// directly to the earliest pending grant. Execution order is unchanged
+// from the synchronous engine: the root is the unique (time, thread-ID)
+// minimum, and an op runs — in the loop or inline — only on the thread at
+// the root, so the operation sequence — and therefore every result, event
+// stream, and span — is byte-identical. When an external Scheduler is
+// installed (litmus exploration), the engine falls back to the
+// synchronous one-op rendezvous, which keeps candidate sets (pending ops
+// included) observable at every decision point.
 package engine
 
 import (
@@ -255,10 +257,30 @@ type Engine struct {
 	// completes; the watchdog clears it each step.
 	progressed bool
 	stopped    bool
+
+	// limit is the watchdog window in effect (NoProgressLimit or its
+	// default), set by RunCtx.
+	limit int64
+
+	// Pipelined-loop state shared with ops executed inline on a guest's
+	// stack (stepInline): the result being filled, the step count that
+	// paces ctx polls, the watchdog's no-progress count, and the first
+	// error an inline op hit, which the loop reports.
+	res   *Result
+	steps int64
+	idle  int64
+	fault error
+
+	// initErr is New's refusal of a guest count the run queue cannot key;
+	// RunCtx returns it.
+	initErr error
 }
 
 type thread struct {
-	id      int
+	id int
+	// slot is the thread's run-queue leaf: its id under the serial loop,
+	// its dense index within its shard under the block-parallel executor.
+	slot    int
 	guest   Guest
 	time    int64
 	stalls  stats.Stalls
@@ -276,8 +298,11 @@ type thread struct {
 	blockAs  stats.StallKind // category charged for the wait
 	err      error
 	// pipelined mirrors Engine.pipelined for the guest-side do(); set
-	// before the guest coroutine starts.
+	// before the guest coroutine starts. inline is set only while the
+	// serial loop has resumed this guest: its ops may then execute on the
+	// guest's own stack (see stepInline).
 	pipelined bool
+	inline    bool
 	// Coroutine controls (iter.Pull over guestSeq). resume runs the guest
 	// until its next yield, reporting false once it has returned; halt
 	// unwinds a suspended guest (its pending yield returns false and do
@@ -304,17 +329,22 @@ const (
 // core, in core order). Thread contexts live in one contiguous arena
 // (structure-of-arrays layout indexed by dense thread id): a single
 // allocation instead of one per thread, with the op rings embedded, so
-// a 1024-core engine costs one slab plus the coroutine handles. The run
-// queue backing store is preallocated to its maximum occupancy.
+// a 1024-core engine costs one slab plus the coroutine handles. More
+// guests than the run queue's 16-bit thread IDs can key are refused
+// before anything is allocated; RunCtx then returns the error.
 func New(h Hierarchy, guests []Guest) *Engine {
 	e := &Engine{h: h, ctrl: hwsync.New(h.SyncCost)}
+	if len(guests) > maxThreads {
+		e.initErr = fmt.Errorf("engine: thread %d at clock 0: %d guests exceed the run queue's %d-thread limit",
+			maxThreads, len(guests), maxThreads)
+		return e
+	}
 	e.tstore = make([]thread, len(guests))
 	e.ts = make([]*thread, len(guests))
 	for i, g := range guests {
-		e.tstore[i] = thread{id: i, guest: g}
+		e.tstore[i] = thread{id: i, slot: i, guest: g}
 		e.ts[i] = &e.tstore[i]
 	}
-	e.rq.ts = make([]*thread, 0, len(guests))
 	return e
 }
 
@@ -353,14 +383,21 @@ const ctxPollMask = 255
 // see. Simulation results are identical to Run's; cancellation and the
 // watchdog only decide whether the run completes.
 func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
+	if e.initErr != nil {
+		return nil, e.initErr
+	}
+	e.limit = e.NoProgressLimit
+	if e.limit <= 0 {
+		e.limit = DefaultNoProgressLimit
+	}
 	e.pipelined = e.sched == nil
 	for _, t := range e.ts {
 		t.pipelined = e.pipelined
-		t.resume, t.halt = iter.Pull(guestSeq(t, len(e.ts)))
+		t.resume, t.halt = iter.Pull(guestSeq(e, t))
 	}
 	if e.pipelined {
 		if sh, ok := e.h.(ShardedHierarchy); ok && e.obs == nil && e.rec == nil &&
-			sh.ParallelShards() > 1 && len(e.ts) <= maxParThreads {
+			sh.ParallelShards() > 1 {
 			return e.runBlockParallel(ctx, sh)
 		}
 		return e.runPipelined(ctx)
@@ -368,31 +405,26 @@ func (e *Engine) RunCtx(ctx context.Context) (*Result, error) {
 	return e.runSynchronous(ctx)
 }
 
-// runPipelined is the event-driven scheduler loop. Every non-done,
-// non-blocked thread is either in the run queue keyed by (local clock,
-// ID) or held in hand as the current minimum; each iteration receives the
-// minimum thread's next deposited op (already in its pipe unless the
-// guest is still computing), executes it, and keeps the thread in hand
-// while its advanced clock is still the global minimum — the common case
-// under the default policy's 23% same-thread run length, and the case
-// where the heap is skipped entirely. A pop that finds the guest's pipe
-// closed retires the thread. Blocked threads re-enter the queue from
-// wake(), timestamped at their grant — which is what makes a fully
-// quiescent machine jump straight to the earliest pending event.
+// runPipelined is the event-driven scheduler loop. Every ready thread's
+// (local clock, ID) key sits in the tournament tree, and each iteration
+// serves the thread at the root: it executes the thread's next deposited
+// op and re-keys the thread, or retires it once its guest has returned
+// and its ring has drained. A root thread with an empty ring is resumed
+// instead; while it stays the minimum its guest executes its own ops
+// inline (stepInline), and once it deposits an op for later and yields,
+// the loop reads the root afresh. Blocked threads re-enter the tree from
+// wake(), keyed at their grant — which is what makes a fully quiescent
+// machine jump straight to the earliest pending event.
 func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
+	e.rq.init(len(e.ts))
 	for _, t := range e.ts {
-		e.rq.push(t)
+		e.rq.set(t.slot, uint64(t.id)) // every clock starts at 0
 	}
 	res := &Result{PerThread: make([]stats.Stalls, len(e.ts))}
-	limit := e.NoProgressLimit
-	if limit <= 0 {
-		limit = DefaultNoProgressLimit
-	}
+	e.res = res
 	stop := ctx.Done()
-	var steps, idle int64
-	t := e.rq.pop()
 	for {
-		if stop != nil && steps&ctxPollMask == 0 {
+		if stop != nil && e.steps&ctxPollMask == 0 {
 			select {
 			case <-stop:
 				e.shutdown()
@@ -400,8 +432,8 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 			default:
 			}
 		}
-		steps++
-		if t == nil {
+		k := e.rq.min()
+		if k == emptyKey {
 			if e.allDone() {
 				break
 			}
@@ -409,35 +441,77 @@ func (e *Engine) runPipelined(ctx context.Context) (*Result, error) {
 			e.shutdown()
 			return nil, err
 		}
-		op, ok := e.nextOp(t)
-		runnable := false
+		t := e.ts[k&idMask]
+		op, ok := t.pipe.tryPop()
+		if !ok && !t.finished {
+			t.inline = true
+			_, more := t.resume()
+			t.inline = false
+			t.finished = !more
+			if e.fault != nil {
+				e.shutdown()
+				return nil, e.fault
+			}
+			continue
+		}
+		e.steps++
 		if !ok {
 			t.state = done
+			e.rq.remove(t)
 			e.progressed = true
 		} else {
-			var err error
-			if runnable, err = e.stepPipelined(t, op, res); err != nil {
+			runnable, err := e.stepPipelined(t, op, res)
+			if err == nil && runnable {
+				err = e.rq.update(t)
+			}
+			if err != nil {
 				e.shutdown()
 				return nil, err
 			}
 		}
 		if e.progressed {
 			e.progressed = false
-			idle = 0
-		} else if idle++; idle >= limit {
-			err := &LivelockError{Steps: idle, Blocked: e.blockedIDs()}
+			e.idle = 0
+		} else if e.idle++; e.idle >= e.limit {
+			err := &LivelockError{Steps: e.idle, Blocked: e.blockedIDs()}
 			e.shutdown()
 			return nil, err
 		}
-		if runnable {
-			if m := e.rq.peek(); m != nil && runqLess(m, t) {
-				t = e.rq.swapMin(t)
-			}
-		} else {
-			t = e.rq.pop()
-		}
 	}
 	return e.finish(res)
+}
+
+// stepInline executes, on guest t's own stack, the op t has just
+// deposited, when the loop would execute that very op next anyway: the
+// loop resumed t (t.inline), nothing else is in t's ring, the op is not a
+// sync op (the caller checks those three), and t is still the run-queue
+// minimum. It then re-keys t and reports true, and a load's value is in
+// t.loadVal with no coroutine round trip. The op is executed from its
+// ring slot, so nothing escapes to the heap. An op that lands on a
+// ctx-poll step or would trip the watchdog is left to the loop (false),
+// so both fire exactly where they would without inlining. Inline ops are
+// never sync ops, so they never make progress.
+func (e *Engine) stepInline(t *thread) bool {
+	if !e.rq.isMin(t.slot) || e.steps&ctxPollMask == 0 || e.idle+1 >= e.limit {
+		return false
+	}
+	op, _ := t.pipe.tryPop()
+	e.steps++
+	e.idle++
+	_, err := e.stepPipelined(t, op, e.res)
+	if err == nil {
+		err = e.rq.update(t)
+	}
+	if err != nil {
+		// The loop reports the error once this guest yields, and unwinds
+		// it; inline execution stops here.
+		e.fault = err
+		t.inline = false
+		if !t.yield(struct{}{}) {
+			panic(stopSentinel{})
+		}
+	}
+	return true
 }
 
 // runSynchronous is the rendezvous scheduler loop used under an external
@@ -450,10 +524,6 @@ func (e *Engine) runSynchronous(ctx context.Context) (*Result, error) {
 		e.recvNext(t)
 	}
 	res := &Result{PerThread: make([]stats.Stalls, len(e.ts))}
-	limit := e.NoProgressLimit
-	if limit <= 0 {
-		limit = DefaultNoProgressLimit
-	}
 	stop := ctx.Done()
 	var steps, idle int64
 	for {
@@ -486,7 +556,7 @@ func (e *Engine) runSynchronous(ctx context.Context) (*Result, error) {
 		if e.progressed {
 			e.progressed = false
 			idle = 0
-		} else if idle++; idle >= limit {
+		} else if idle++; idle >= e.limit {
 			err := &LivelockError{Steps: idle, Blocked: e.blockedIDs()}
 			e.shutdown()
 			return nil, err
@@ -511,15 +581,16 @@ func (e *Engine) finish(res *Result) (*Result, error) {
 	return res, nil
 }
 
-// nextOp returns thread t's next operation, resuming the guest coroutine
-// when its ring is empty; ok is false once the guest has returned and its
-// ring has drained. Resuming with an empty ring is what makes do's load
-// protocol sound: every op the guest deposited before suspending —
-// including the load whose value it is waiting for — has already
-// executed.
-func (e *Engine) nextOp(t *thread) (*isa.Op, bool) {
+// peekOp returns thread t's next operation without consuming it (the
+// caller drops it from the ring once it executes), resuming the guest
+// coroutine when its ring is empty; ok is false once the guest has
+// returned and its ring has drained. Resuming with an empty ring is what
+// makes do's load protocol sound: every op the guest deposited before
+// suspending — including the load whose value it is waiting for — has
+// already executed.
+func (e *Engine) peekOp(t *thread) (*isa.Op, bool) {
 	for {
-		if op, ok := t.pipe.tryPop(); ok {
+		if op, ok := t.pipe.peek(); ok {
 			return op, true
 		}
 		if t.finished {
@@ -740,7 +811,9 @@ func (e *Engine) stepSync(t *thread, op *isa.Op) (bool, error) {
 		// Posted: the releaser does not wait for the controller.
 		grant, ok := e.ctrl.Release(t.id, op.ID, t.time)
 		if ok {
-			e.wake(grant)
+			if err := e.wake(grant); err != nil {
+				return false, err
+			}
 		}
 		return true, nil
 	case isa.OpBarrier:
@@ -748,13 +821,17 @@ func (e *Engine) stepSync(t *thread, op *isa.Op) (bool, error) {
 		e.block(t, op, stats.BarrierStall)
 		// Last arrival: wake everyone, including this thread.
 		for _, g := range grants {
-			e.wake(g)
+			if err := e.wake(g); err != nil {
+				return false, err
+			}
 		}
 		return false, nil
 	case isa.OpFlagSet:
 		grants := e.ctrl.FlagSet(t.id, op.ID, int64(op.Value), t.time)
 		for _, g := range grants {
-			e.wake(g)
+			if err := e.wake(g); err != nil {
+				return false, err
+			}
 		}
 		return true, nil
 	case isa.OpFlagWait:
@@ -776,16 +853,21 @@ func (e *Engine) stepSync(t *thread, op *isa.Op) (bool, error) {
 }
 
 // block parks t in the controller on op, recording what the eventual
-// wait will be charged as.
+// wait will be charged as, and takes it out of its run queue.
 func (e *Engine) block(t *thread, op *isa.Op, as stats.StallKind) {
 	t.state = blocked
 	t.cur = *op
 	t.blockAt = t.time
 	t.blockAs = as
-	if e.par != nil {
+	switch {
+	case e.par != nil:
 		// Blocking happens only on the coordinator; the shard loses its
 		// free-run eligibility until the thread is granted.
-		e.par.shards[e.par.shardOf[t.id]].blocked++
+		s := e.par.shards[e.par.shardOf[t.id]]
+		s.blocked++
+		s.rq.remove(t)
+	case e.pipelined:
+		e.rq.remove(t)
 	}
 }
 
@@ -801,8 +883,9 @@ func (e *Engine) granted(t *thread, op *isa.Op, at int64) {
 // wake unblocks a thread granted by the controller. All accounting —
 // the wait span, the clock jump to the grant time, the done event —
 // happens here, at grant creation, so the event stream and spans are
-// identical whichever protocol resumes the thread.
-func (e *Engine) wake(g hwsync.Grant) {
+// identical whichever protocol resumes the thread. The error is a grant
+// clock too large for the run queue's keys.
+func (e *Engine) wake(g hwsync.Grant) error {
 	t := e.ts[g.Thread]
 	if t.state != blocked {
 		panic(fmt.Sprintf("engine: grant for thread %d which is not blocked", g.Thread))
@@ -820,13 +903,17 @@ func (e *Engine) wake(g hwsync.Grant) {
 	e.granted(t, &t.cur, g.At)
 	switch {
 	case e.par != nil:
+		// The woken thread may now be the shard's minimum, so whether the
+		// shard is parked at a GLOBAL op is rediscovered when it next runs.
 		s := e.par.shards[e.par.shardOf[t.id]]
 		s.blocked--
-		s.rq.push(t)
+		s.parked = false
+		return s.rq.update(t)
 	case e.pipelined:
-		e.rq.push(t)
+		return e.rq.update(t)
 	default:
 		e.reply(t, 0)
+		return nil
 	}
 }
 
@@ -844,13 +931,14 @@ func (e *Engine) reply(t *thread, val mem.Word) {
 // marking it done when the guest returns. Ready threads are found by
 // scanning e.ts (see next), so the run queue stays unused in this mode.
 func (e *Engine) recvNext(t *thread) {
-	op, ok := e.nextOp(t)
+	op, ok := e.peekOp(t)
 	if !ok {
 		t.state = done
 		e.progressed = true
 		return
 	}
 	t.next = *op
+	t.pipe.drop()
 	t.state = ready
 }
 
@@ -863,7 +951,7 @@ type stopSentinel struct{}
 // capture. The guest runs only while the scheduler is inside resume; a
 // yield returning false (the scheduler called halt) unwinds it via the
 // stop sentinel.
-func guestSeq(t *thread, n int) iter.Seq[struct{}] {
+func guestSeq(e *Engine, t *thread) iter.Seq[struct{}] {
 	return func(yield func(struct{}) bool) {
 		t.yield = yield
 		defer func() {
@@ -874,7 +962,7 @@ func guestSeq(t *thread, n int) iter.Seq[struct{}] {
 				t.err = fmt.Errorf("guest panic: %v", r)
 			}
 		}()
-		t.pr = proc{t: t, n: n}
+		t.pr = proc{t: t, e: e}
 		t.guest(&t.pr)
 	}
 }
@@ -883,11 +971,12 @@ func guestSeq(t *thread, n int) iter.Seq[struct{}] {
 // that return no value are deposited without suspending the guest —
 // program order is preserved by the ring, and the scheduler executes at
 // most one of this thread's ops at a time — while loads yield control
-// until their value arrives. In synchronous mode every op is a full
-// yield/resume rendezvous.
+// until their value arrives; under the serial loop an op that would run
+// next anyway runs at once on the guest's stack (stepInline). In
+// synchronous mode every op is a full yield/resume rendezvous.
 type proc struct {
 	t *thread
-	n int
+	e *Engine
 }
 
 func (p *proc) do(op isa.Op) mem.Word {
@@ -899,10 +988,13 @@ func (p *proc) do(op isa.Op) mem.Word {
 		}
 	}
 	if t.pipelined {
+		if t.inline && t.pipe.len() == 1 && !op.Kind.IsSync() && p.e.stepInline(t) {
+			return t.loadVal
+		}
 		switch op.Kind {
 		case isa.OpLoad, isa.OpLoadU:
 			// A load suspends the guest. The scheduler resumes it only
-			// once its ring is empty (see nextOp), by which point the
+			// once its ring is empty (see peekOp), by which point the
 			// load has executed and left its value in loadVal.
 		default:
 			return 0
@@ -915,7 +1007,7 @@ func (p *proc) do(op isa.Op) mem.Word {
 }
 
 func (p *proc) ID() int         { return p.t.id }
-func (p *proc) NumThreads() int { return p.n }
+func (p *proc) NumThreads() int { return len(p.e.ts) }
 
 func (p *proc) Load(a mem.Addr) mem.Word {
 	return p.do(isa.Op{Kind: isa.OpLoad, Addr: a})

@@ -33,16 +33,31 @@ func (p *opPipe) tryPush(op isa.Op) bool {
 	return true
 }
 
+// len is the number of deposited ops not yet executed.
+func (p *opPipe) len() uint64 { return p.tail - p.head }
+
 // tryPop removes the next op, reporting false when the ring is empty.
 // The returned pointer aliases the ring slot: it stays valid until the
 // producer has been resumed and deposited pipeCap further ops, which
 // under the alternating control transfer means it is stable for the
 // whole of the current scheduler step.
 func (p *opPipe) tryPop() (*isa.Op, bool) {
+	op, ok := p.peek()
+	if ok {
+		p.head++
+	}
+	return op, ok
+}
+
+// peek is tryPop without the removal: the op stays next in the ring until
+// drop. The producer is resumed only once the ring is empty, so a peeked
+// slot is stable until it is dropped.
+func (p *opPipe) peek() (*isa.Op, bool) {
 	if p.tail == p.head {
 		return nil, false
 	}
-	op := &p.buf[p.head%pipeCap]
-	p.head++
-	return op, true
+	return &p.buf[p.head%pipeCap], true
 }
+
+// drop removes the op peek returned.
+func (p *opPipe) drop() { p.head++ }
