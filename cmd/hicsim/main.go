@@ -16,7 +16,7 @@
 // serial engine; fault-injected and recorder-attached runs silently fall
 // back to it.
 //
-// -blocks N switches to the E7 many-core block-scaling sweep instead of
+// -blocks N switches to the E9 many-core block-scaling sweep instead of
 // the paper figures: Jacobi and NAS EP on machines of 1, 2, 4, ...
 // blocks up to N, each with -cores-per-block cores (default 8), under
 // Addr+L. `hicsim -blocks 128 -block-parallel` is the 1024-core sweep.
@@ -218,7 +218,7 @@ func runRemote(ctx context.Context, f *cli.Flags) {
 	}
 }
 
-// runManycore executes the E7 block-scaling sweep selected by -blocks:
+// runManycore executes the E9 block-scaling sweep selected by -blocks:
 // power-of-two machines up to -blocks blocks of -cores-per-block cores,
 // e.g. `hicsim -blocks 128 -cores-per-block 8 -block-parallel` for the
 // 1024-core sweep. With -json the document (suite "manycore") is emitted
@@ -242,7 +242,7 @@ func runManycore(ctx context.Context, f *cli.Flags, s hic.Scale, opts []hic.Opti
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("== E7: block scaling (up to %d blocks x %d cores) ==============\n",
+	fmt.Printf("== E9: block scaling (up to %d blocks x %d cores) ==============\n",
 		f.Blocks, f.CoresPerBlock)
 	fmt.Println(res.Curve.Render())
 	fmt.Printf("sweep wall time (%d workers): %s\n",

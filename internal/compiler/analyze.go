@@ -1,8 +1,9 @@
 package compiler
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/workload"
@@ -57,7 +58,10 @@ type InspectorPlan struct {
 // LoopPlan is the instrumentation computed for one loop.
 type LoopPlan struct {
 	// WBOut[t] are the writebacks thread t issues at the loop's epoch
-	// end; INVIn[t] are the invalidations it issues at epoch start.
+	// end; INVIn[t] are the invalidations it issues at epoch start. The
+	// producer-consumer annotations are ordered by first range base, then
+	// peer, ties in the order the analysis derived them; INVIn's
+	// reduction fallbacks follow them.
 	WBOut, INVIn [][]Annotation
 	// Inspectors are the loop's irregular reads.
 	Inspectors []InspectorPlan
@@ -66,14 +70,15 @@ type LoopPlan struct {
 	ReductionElems []mem.Range
 }
 
-// Plan is the full compilation result.
+// Plan is the full compilation result: one LoopPlan per loop.
 type Plan struct {
 	Prog    *Program
 	Threads int
 	Loops   map[*Loop]*LoopPlan
-	// GlobalWBElems/GlobalINVElems count the analyzed elements that could
-	// not be level-adapted (diagnostics).
-	flat []flatLoop
+	flat    []flatLoop
+	// wb indexes the writeback annotations by (loop, thread, range) while
+	// Analyze builds them; nil afterwards.
+	wb map[wbKey]wbEntry
 }
 
 // chunkOwner returns the owner of iteration i of loop l.
@@ -96,21 +101,35 @@ func iterRange(l *Loop, t, threads int) (lo, hi int) {
 	return l.Lo + clo, l.Lo + chi
 }
 
-// writeFoot returns loop l's written elements per array: array -> elem ->
-// writer thread. Reduction targets are excluded (they are handled by the
-// reduction fallback, not producer-consumer pairing).
-func writeFoot(l *Loop, threads int) map[string]map[int]int {
-	foot := make(map[string]map[int]int)
+// footprint is one loop's write footprint: for each array it writes, the
+// writer thread of every element (-1 where the loop does not write it).
+// Reduction targets are excluded (they are handled by the reduction
+// fallback, not producer-consumer pairing).
+type footprint map[string][]int32
+
+// writeFoot returns loop l's write footprint. An element written by several
+// iterations records the last writer in chunk order.
+func writeFoot(prog *Program, l *Loop, threads int) footprint {
+	foot := make(footprint)
+	if l.Hi <= l.Lo {
+		return foot
+	}
+	dst := make([][]int32, len(l.Writes))
+	for k, w := range l.Writes {
+		if _, ok := foot[w.Array]; !ok {
+			ws := make([]int32, prog.Arrays[w.Array].Len)
+			for e := range ws {
+				ws[e] = -1
+			}
+			foot[w.Array] = ws
+		}
+		dst[k] = foot[w.Array]
+	}
 	for t := 0; t < threads; t++ {
 		lo, hi := iterRange(l, t, threads)
 		for i := lo; i < hi; i++ {
-			for _, w := range l.Writes {
-				m, ok := foot[w.Array]
-				if !ok {
-					m = make(map[int]int)
-					foot[w.Array] = m
-				}
-				m[w.At(i)] = t
+			for k, w := range l.Writes {
+				dst[k][w.At(i)] = int32(t)
 			}
 		}
 	}
@@ -120,13 +139,14 @@ func writeFoot(l *Loop, threads int) map[string]map[int]int {
 // Analyze compiles prog for the given thread count: it builds the control
 // flow, extracts producer-consumer epoch pairs via DEF-USE over the
 // numeric access footprints, plans inspectors for irregular reads, and
-// records reduction fallbacks.
+// records reduction fallbacks. Its cost is linear in the thread count plus
+// the access footprints.
 func Analyze(prog *Program, threads int) *Plan {
 	var flat []flatLoop
 	nextRegion := 0
 	flatten(prog.Stmts, -1, &nextRegion, &flat)
 
-	plan := &Plan{Prog: prog, Threads: threads, Loops: make(map[*Loop]*LoopPlan), flat: flat}
+	plan := &Plan{Prog: prog, Threads: threads, Loops: make(map[*Loop]*LoopPlan), flat: flat, wb: make(map[wbKey]wbEntry)}
 	for _, fl := range flat {
 		lp := &LoopPlan{
 			WBOut: make([][]Annotation, threads),
@@ -134,25 +154,25 @@ func Analyze(prog *Program, threads int) *Plan {
 		}
 		plan.Loops[fl.loop] = lp
 		if r := fl.loop.Reduction; r != nil {
-			elems := map[int]bool{}
+			var elems []int
 			for i := fl.loop.Lo; i < fl.loop.Hi; i++ {
-				elems[r.At(i)] = true
+				elems = append(elems, r.At(i))
 			}
-			lp.ReductionElems = elemsToRanges(prog.Arrays[r.Array], elems)
+			lp.ReductionElems = elemsToRanges(prog.Arrays[r.Array], sortedSet(elems))
 		}
 	}
 
 	// Precompute write footprints.
-	foots := make([]map[string]map[int]int, len(flat))
+	foots := make([]footprint, len(flat))
 	for i, fl := range flat {
-		foots[i] = writeFoot(fl.loop, threads)
+		foots[i] = writeFoot(prog, fl.loop, threads)
 	}
 
 	for ci, cf := range flat {
 		cons := cf.loop
 		for ri, rd := range cons.Reads {
-			sameIter, backEdge, outside := plan.reachableProducers(ci, rd.Array, foots)
-			if len(sameIter)+len(backEdge)+len(outside) == 0 {
+			rp := plan.reachableProducers(ci, rd.Array, foots)
+			if len(rp.sameIter)+len(rp.backEdge)+len(rp.outside) == 0 {
 				continue
 			}
 			if rd.Indirect {
@@ -163,26 +183,28 @@ func Analyze(prog *Program, threads int) *Plan {
 				// element belong to different threads, the owner is
 				// reported as OwnerUnknown and the lowering invalidates
 				// globally.
-				owner := plan.ownerFunc(rd.Array, sameIter, backEdge, outside, foots)
 				lp := plan.Loops[cons]
-				lp.Inspectors = append(lp.Inspectors, InspectorPlan{ReadIdx: ri, OwnerOf: owner})
+				lp.Inspectors = append(lp.Inspectors, InspectorPlan{ReadIdx: ri, OwnerOf: rp.ownerOf})
 				// Producer side: every reaching producer writes its whole
 				// footprint to L3 (Section V-A.2: exact consumer analysis
 				// of indirect reads is skipped).
-				for _, pf := range concat(sameIter, backEdge, outside) {
-					plan.addProducerGlobalWB(pf.loop, rd.Array, foots[pf.index][rd.Array])
+				for _, group := range [][]producer{rp.sameIter, rp.backEdge, rp.outside} {
+					for _, p := range group {
+						plan.addProducerGlobalWB(flat[p.pi].loop, rd.Array, p.writers)
+					}
 				}
 				continue
 			}
-			plan.pairDirect(ci, ri, sameIter, backEdge, outside, foots)
+			plan.pairDirect(cons, rd, rp)
 		}
 		// Reduction consumers: any loop reading an array that a reachable
 		// reduction targets gets a conservative global INV of the read
 		// footprint (no producer-consumer order exists).
-		for ri, rd := range cons.Reads {
+		for _, rd := range cons.Reads {
 			if rd.Indirect {
 				continue
 			}
+			arr := prog.Arrays[rd.Array]
 			for _, pf := range flat {
 				if pf.loop.Reduction == nil || pf.loop == cons {
 					continue
@@ -190,30 +212,41 @@ func Analyze(prog *Program, threads int) *Plan {
 				if pf.loop.Reduction.Array != rd.Array || !plan.reaches(pf.index, ci) {
 					continue
 				}
-				redElems := map[int]bool{}
+				reduced := make([]bool, arr.Len)
 				for i := pf.loop.Lo; i < pf.loop.Hi; i++ {
-					redElems[pf.loop.Reduction.At(i)] = true
+					reduced[pf.loop.Reduction.At(i)] = true
 				}
+				var elems []int
 				for u := 0; u < threads; u++ {
 					lo, hi := iterRange(cons, u, threads)
-					elems := map[int]bool{}
+					elems = elems[:0]
 					for i := lo; i < hi; i++ {
-						if e := rd.At(i); redElems[e] {
-							elems[e] = true
+						if e := rd.At(i); reduced[e] {
+							elems = append(elems, e)
 						}
 					}
 					if len(elems) == 0 {
 						continue
 					}
 					plan.Loops[cons].INVIn[u] = append(plan.Loops[cons].INVIn[u], Annotation{
-						Ranges: elemsToRanges(prog.Arrays[rd.Array], elems),
+						Ranges: elemsToRanges(arr, sortedSet(elems)),
 						Multi:  true,
 					})
 				}
-				_ = ri
 			}
 		}
 	}
+
+	// Writeback lists are ordered once, now that pairing is done: the
+	// collapsed per-consumer annotations go, and the rest sort stably.
+	for _, lp := range plan.Loops {
+		for t, anns := range lp.WBOut {
+			anns = slices.DeleteFunc(anns, func(a Annotation) bool { return a.Ranges == nil })
+			slices.SortStableFunc(anns, annotationOrder)
+			lp.WBOut[t] = anns
+		}
+	}
+	plan.wb = nil
 	return plan
 }
 
@@ -226,8 +259,15 @@ func (pl *Plan) reaches(p, c int) bool {
 	return pl.flat[p].region >= 0 && pl.flat[p].region == pl.flat[c].region
 }
 
-// reachableProducers classifies the producers of array reaching consumer
-// ci by dependence distance, each group nearest-first:
+// producer is one loop writing the array a read consumes: its flat index
+// and its writer thread per element of that array.
+type producer struct {
+	pi      int
+	writers []int32
+}
+
+// reaching holds the producers of one array reaching one consumer, grouped
+// by dependence distance, each group nearest-first:
 //
 //   - sameIter: producers earlier in the same time-loop iteration (or in
 //     straight-line code before the consumer inside the same region) —
@@ -236,63 +276,55 @@ func (pl *Plan) reaches(p, c int) bool {
 //     the time loop's back edge (steady-state source from iteration 2 on);
 //   - outside: producers before the consumer's region (the source on the
 //     first iteration when no sameIter producer writes the element).
-func (pl *Plan) reachableProducers(ci int, array string, foots []map[string]map[int]int) (sameIter, backEdge, outside []flatLoop) {
-	creg := pl.flat[ci].region
-	for pi, pf := range pl.flat {
-		if pi == ci {
-			continue
-		}
-		if _, writes := foots[pi][array]; !writes {
-			continue
-		}
-		switch {
-		case pf.region == creg && pi < ci:
-			sameIter = append(sameIter, pf)
-		case creg >= 0 && pf.region == creg:
-			backEdge = append(backEdge, pf)
-		case pi < ci:
-			outside = append(outside, pf)
-		}
-	}
-	sort.Slice(sameIter, func(a, b int) bool { return sameIter[a].index > sameIter[b].index })
-	sort.Slice(backEdge, func(a, b int) bool { return backEdge[a].index > backEdge[b].index })
-	sort.Slice(outside, func(a, b int) bool { return outside[a].index > outside[b].index })
-	return sameIter, backEdge, outside
+type reaching struct {
+	sameIter, backEdge, outside []producer
 }
 
-func concat(groups ...[]flatLoop) []flatLoop {
-	var out []flatLoop
-	for _, g := range groups {
-		out = append(out, g...)
+// reachableProducers classifies the producers of array reaching consumer ci.
+func (pl *Plan) reachableProducers(ci int, array string, foots []footprint) *reaching {
+	rp := &reaching{}
+	creg := pl.flat[ci].region
+	for pi, pf := range pl.flat {
+		writers, writes := foots[pi][array]
+		if pi == ci || !writes {
+			continue
+		}
+		p := producer{pi, writers}
+		switch {
+		case pf.region == creg && pi < ci:
+			rp.sameIter = append(rp.sameIter, p)
+		case creg >= 0 && pf.region == creg:
+			rp.backEdge = append(rp.backEdge, p)
+		case pi < ci:
+			rp.outside = append(rp.outside, p)
+		}
 	}
-	return out
+	slices.Reverse(rp.sameIter)
+	slices.Reverse(rp.backEdge)
+	slices.Reverse(rp.outside)
+	return rp
 }
 
 // producerSrc identifies one producer occurrence.
 type producerSrc struct{ pi, t int }
 
-// candidateProducers returns the producer occurrences that can be the
-// last writer of element e at some dynamic consumption: if a same-
-// iteration producer writes e it is the unique candidate; otherwise the
-// nearest back-edge writer (iterations ≥ 2) and the nearest preceding
-// outside writer (iteration 1) are both candidates.
-func candidateProducers(e int, array string, sameIter, backEdge, outside []flatLoop, foots []map[string]map[int]int) []producerSrc {
-	for _, pf := range sameIter {
-		if t, ok := foots[pf.index][array][e]; ok {
-			return []producerSrc{{pf.index, t}}
-		}
+// candidates appends to buf the producer occurrences that can be the last
+// writer of element e at some dynamic consumption: if a same-iteration
+// producer writes e it is the unique candidate; otherwise the nearest
+// back-edge writer (iterations ≥ 2) and the nearest preceding outside
+// writer (iteration 1) are both candidates.
+func (rp *reaching) candidates(buf []producerSrc, e int) []producerSrc {
+	if out := nearestWriter(buf, rp.sameIter, e); len(out) > len(buf) {
+		return out
 	}
-	var out []producerSrc
-	for _, pf := range backEdge {
-		if t, ok := foots[pf.index][array][e]; ok {
-			out = append(out, producerSrc{pf.index, t})
-			break
-		}
-	}
-	for _, pf := range outside {
-		if t, ok := foots[pf.index][array][e]; ok {
-			out = append(out, producerSrc{pf.index, t})
-			break
+	return nearestWriter(nearestWriter(buf, rp.backEdge, e), rp.outside, e)
+}
+
+// nearestWriter appends the first producer in group that writes e.
+func nearestWriter(out []producerSrc, group []producer, e int) []producerSrc {
+	for _, p := range group {
+		if t := p.writers[e]; t >= 0 {
+			return append(out, producerSrc{p.pi, int(t)})
 		}
 	}
 	return out
@@ -303,22 +335,29 @@ func candidateProducers(e int, array string, sameIter, backEdge, outside []flatL
 // invalidates globally.
 const OwnerUnknown = -2
 
-// ownerFunc builds the inspector's element-owner function.
-func (pl *Plan) ownerFunc(array string, sameIter, backEdge, outside []flatLoop, foots []map[string]map[int]int) func(int) int {
-	return func(e int) int {
-		cands := candidateProducers(e, array, sameIter, backEdge, outside, foots)
-		if len(cands) == 0 {
-			return OwnerUnknown
-		}
-		t := cands[0].t
-		for _, c := range cands[1:] {
-			if c.t != t {
-				return OwnerUnknown
-			}
-		}
-		return t
+// ownerOf is the inspector's element-owner function.
+func (rp *reaching) ownerOf(e int) int {
+	var buf [2]producerSrc
+	cands := rp.candidates(buf[:0], e)
+	if len(cands) == 0 || !allSameThread(cands) {
+		return OwnerUnknown
 	}
+	return cands[0].t
 }
+
+// srcElem is one element attributed to a producer occurrence.
+type srcElem struct {
+	src producerSrc
+	e   int
+}
+
+func srcElemOrder(a, b srcElem) int {
+	return cmp.Or(cmp.Compare(a.src.pi, b.src.pi), cmp.Compare(a.src.t, b.src.t), cmp.Compare(a.e, b.e))
+}
+
+// multiSrc groups the elements whose candidate writers span threads; its
+// thread, 0, is the Peer every Multi annotation carries.
+var multiSrc = producerSrc{pi: -1}
 
 // pairDirect extracts producer-consumer pairs for a direct (affine) read:
 // for each consumer thread, each element is attributed to its candidate
@@ -326,75 +365,74 @@ func (pl *Plan) ownerFunc(array string, sameIter, backEdge, outside []flatLoop, 
 // into per-(producer-thread, consumer-thread) ranges yielding WB_CONS at
 // the producer and INV_PROD at the consumer. Elements whose candidate
 // writers span several threads lower to conservative global instructions.
-func (pl *Plan) pairDirect(ci, ri int, sameIter, backEdge, outside []flatLoop, foots []map[string]map[int]int) {
-	cons := pl.flat[ci].loop
-	rd := cons.Reads[ri]
+func (pl *Plan) pairDirect(cons *Loop, rd Read, rp *reaching) {
 	arr := pl.Prog.Arrays[rd.Array]
-
-	elemCands := make(map[int][]producerSrc)
+	lp := pl.Loops[cons]
+	var buf [2]producerSrc
+	var inv, wb []srcElem
 	for u := 0; u < pl.Threads; u++ {
+		inv, wb = inv[:0], wb[:0]
 		lo, hi := iterRange(cons, u, pl.Threads)
-		invElems := make(map[producerSrc]map[int]bool) // single-writer pieces
-		multiElems := make(map[int]bool)               // conflicting-writer pieces
 		for i := lo; i < hi; i++ {
 			e := rd.At(i)
-			cands, ok := elemCands[e]
-			if !ok {
-				cands = candidateProducers(e, rd.Array, sameIter, backEdge, outside, foots)
-				elemCands[e] = cands
-			}
+			cands := rp.candidates(buf[:0], e)
 			switch {
 			case len(cands) == 0:
-				// Never-written (initial) data: nothing to communicate.
-			case allSameThread(cands):
-				if cands[0].t == u {
-					continue // produced by this thread: no communication
-				}
-				s := producerSrc{cands[0].pi, cands[0].t}
-				m, ok := invElems[s]
-				if !ok {
-					m = make(map[int]bool)
-					invElems[s] = m
-				}
-				m[e] = true
+				continue // never-written (initial) data: nothing to communicate
+			case !allSameThread(cands):
+				inv = append(inv, srcElem{multiSrc, e})
+			case cands[0].t == u:
+				continue // produced by this thread: no communication
 			default:
-				multiElems[e] = true
+				inv = append(inv, srcElem{cands[0], e})
+			}
+			// WB side: every candidate occurrence must write back the
+			// elements this consumer reads from it (the outside producer
+			// feeds the first iteration, the back-edge one the rest).
+			for _, c := range cands {
+				wb = append(wb, srcElem{c, e})
 			}
 		}
-		// WB side: every candidate occurrence must write back the
-		// elements this consumer reads from it (the outside producer
-		// feeds the first iteration, the back-edge one the rest).
-		wbElems := make(map[producerSrc]map[int]bool)
-		note := func(e int) {
-			for _, c := range elemCands[e] {
-				m, ok := wbElems[c]
-				if !ok {
-					m = make(map[int]bool)
-					wbElems[c] = m
-				}
-				m[e] = true
-			}
+		if len(inv) == 0 {
+			continue
 		}
-		for s, elems := range invElems {
-			ranges := elemsToRanges(arr, elems)
-			pl.Loops[cons].INVIn[u] = append(pl.Loops[cons].INVIn[u], Annotation{Ranges: ranges, Peer: s.t})
-			for e := range elems {
-				note(e)
-			}
-		}
-		if len(multiElems) > 0 {
-			pl.Loops[cons].INVIn[u] = append(pl.Loops[cons].INVIn[u], Annotation{
-				Ranges: elemsToRanges(arr, multiElems), Multi: true,
+		for _, g := range groupBySrc(inv) {
+			lp.INVIn[u] = append(lp.INVIn[u], Annotation{
+				Ranges: elemsToRanges(arr, g.elems), Peer: g.src.t, Multi: g.src == multiSrc,
 			})
-			for e := range multiElems {
-				note(e)
-			}
 		}
-		for c, elems := range wbElems {
-			pl.addWB(pl.flat[c.pi].loop, c.t, u, elemsToRanges(arr, elems))
+		slices.SortStableFunc(lp.INVIn[u], annotationOrder)
+		for _, g := range groupBySrc(wb) {
+			pl.addWB(pl.Loops[pl.flat[g.src.pi].loop], g.src.t, u, elemsToRanges(arr, g.elems))
 		}
 	}
-	sortAnnotations(pl.Loops[cons].INVIn)
+}
+
+// srcGroup is the sorted element set attributed to one producer occurrence.
+type srcGroup struct {
+	src   producerSrc
+	elems []int
+}
+
+// groupBySrc sorts the attributions (in place) and returns one group per
+// producer occurrence, in (flat index, thread) order.
+func groupBySrc(attr []srcElem) []srcGroup {
+	slices.SortFunc(attr, srcElemOrder)
+	attr = slices.Compact(attr)
+	var groups []srcGroup
+	for len(attr) > 0 {
+		n := 1
+		for n < len(attr) && attr[n].src == attr[0].src {
+			n++
+		}
+		elems := make([]int, n)
+		for k := range elems {
+			elems[k] = attr[k].e
+		}
+		groups = append(groups, srcGroup{attr[0].src, elems})
+		attr = attr[n:]
+	}
+	return groups
 }
 
 func allSameThread(cands []producerSrc) bool {
@@ -406,116 +444,103 @@ func allSameThread(cands []producerSrc) bool {
 	return true
 }
 
+// wbKey names one range of one producer thread's writeback list.
+type wbKey struct {
+	lp *LoopPlan
+	t  int
+	r  mem.Range
+}
+
+// wbEntry is what the analysis has recorded for one wbKey: a global
+// writeback covering the range, or up to two per-consumer annotations
+// (their consumers and positions in the list).
+type wbEntry struct {
+	global bool
+	n      int
+	peer   [2]int
+	at     [2]int
+}
+
 // addWB records that producer thread t must write back ranges for
-// consumer thread u at the end of loop prod. A range read by up to two
-// distinct consumers gets one WB_CONS per consumer (the two-neighbor case
-// of boundary exchange; the second WB finds the L1 line already clean and
-// only moves data deeper if its consumer's level requires it). A range
+// consumer thread u at the end of the loop lp plans. A range read by up to
+// two distinct consumers gets one WB_CONS per consumer (the two-neighbor
+// case of boundary exchange; the second WB finds the L1 line already clean
+// and only moves data deeper if its consumer's level requires it). A range
 // with more than two consumers is a broadcast and collapses into a single
 // conservative global annotation, matching the paper's serial-section
 // handling ("the producer writes back the data to the last level cache").
-func (pl *Plan) addWB(prod *Loop, t, u int, ranges []mem.Range) {
-	lp := pl.Loops[prod]
-	out := lp.WBOut[t]
+func (pl *Plan) addWB(lp *LoopPlan, t, u int, ranges []mem.Range) {
 	for _, r := range ranges {
-		peers := map[int]bool{}
-		first := -1
-		for k := range out {
-			for _, have := range out[k].Ranges {
-				if have == r {
-					if first < 0 {
-						first = k
-					}
-					if out[k].Multi {
-						peers[multiPeerSentinel] = true
-					} else {
-						peers[out[k].Peer] = true
-					}
-				}
-			}
-		}
+		k := wbKey{lp, t, r}
+		ent := pl.wb[k]
 		switch {
-		case peers[multiPeerSentinel] || peers[u]:
+		case ent.global || slices.Contains(ent.peer[:ent.n], u):
 			// Already covered (globally, or for this consumer).
-		case len(peers) >= 2:
+			continue
+		case ent.n == len(ent.peer):
 			// Third distinct consumer: collapse to one global annotation.
-			kept := out[:0]
-			for _, ann := range out {
-				if len(ann.Ranges) == 1 && ann.Ranges[0] == r {
-					continue
-				}
-				kept = append(kept, ann)
+			// The per-consumer ones are emptied here and dropped when
+			// Analyze orders the lists.
+			for _, at := range ent.at {
+				lp.WBOut[t][at].Ranges = nil
 			}
-			out = append(kept, Annotation{Ranges: []mem.Range{r}, Multi: true})
+			ent.global = true
+			lp.WBOut[t] = append(lp.WBOut[t], Annotation{Ranges: []mem.Range{r}, Multi: true})
 		default:
-			out = append(out, Annotation{Ranges: []mem.Range{r}, Peer: u})
+			ent.peer[ent.n], ent.at[ent.n] = u, len(lp.WBOut[t])
+			ent.n++
+			lp.WBOut[t] = append(lp.WBOut[t], Annotation{Ranges: []mem.Range{r}, Peer: u})
 		}
+		pl.wb[k] = ent
 	}
-	lp.WBOut[t] = out
-	sortAnnotations(lp.WBOut)
 }
-
-// multiPeerSentinel marks a collapsed multi-consumer annotation in peer
-// sets (never a valid thread ID).
-const multiPeerSentinel = -1
 
 // addProducerGlobalWB records a whole-footprint global writeback for
 // producer threads feeding an irregular consumer.
-func (pl *Plan) addProducerGlobalWB(prod *Loop, array string, foot map[int]int) {
-	perThread := make(map[int]map[int]bool)
-	for e, t := range foot {
-		m, ok := perThread[t]
-		if !ok {
-			m = make(map[int]bool)
-			perThread[t] = m
+func (pl *Plan) addProducerGlobalWB(prod *Loop, array string, writers []int32) {
+	perThread := make([][]int, pl.Threads)
+	for e, t := range writers {
+		if t >= 0 {
+			perThread[t] = append(perThread[t], e)
 		}
-		m[e] = true
 	}
 	lp := pl.Loops[prod]
 	arr := pl.Prog.Arrays[array]
 	for t, elems := range perThread {
+		if len(elems) == 0 {
+			continue
+		}
 		ann := Annotation{Ranges: elemsToRanges(arr, elems), Multi: true}
 		// Avoid duplicating an identical fallback annotation.
-		dup := false
-		for _, have := range lp.WBOut[t] {
-			if have.Multi && rangesEqual(have.Ranges, ann.Ranges) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.ContainsFunc(lp.WBOut[t], func(have Annotation) bool {
+			return have.Multi && slices.Equal(have.Ranges, ann.Ranges)
+		}) {
 			lp.WBOut[t] = append(lp.WBOut[t], ann)
 		}
-	}
-	sortAnnotations(lp.WBOut)
-}
-
-func rangesEqual(a, b []mem.Range) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+		for _, r := range ann.Ranges {
+			k := wbKey{lp, t, r}
+			ent := pl.wb[k]
+			ent.global = true
+			pl.wb[k] = ent
 		}
 	}
-	return true
 }
 
-// elemsToRanges coalesces an element set into maximal consecutive byte
-// ranges of the array.
-func elemsToRanges(arr workload.Array, elems map[int]bool) []mem.Range {
+// sortedSet sorts elems in place and drops duplicates.
+func sortedSet(elems []int) []int {
+	slices.Sort(elems)
+	return slices.Compact(elems)
+}
+
+// elemsToRanges coalesces a sorted, duplicate-free element list into
+// maximal consecutive byte ranges of the array.
+func elemsToRanges(arr workload.Array, elems []int) []mem.Range {
 	if len(elems) == 0 {
 		return nil
 	}
-	idx := make([]int, 0, len(elems))
-	for e := range elems {
-		idx = append(idx, e)
-	}
-	sort.Ints(idx)
 	var out []mem.Range
-	start, prev := idx[0], idx[0]
-	for _, e := range idx[1:] {
+	start, prev := elems[0], elems[0]
+	for _, e := range elems[1:] {
 		if e == prev+1 {
 			prev = e
 			continue
@@ -527,15 +552,7 @@ func elemsToRanges(arr workload.Array, elems map[int]bool) []mem.Range {
 	return out
 }
 
-// sortAnnotations keeps annotation lists in a deterministic order.
-func sortAnnotations(per [][]Annotation) {
-	for _, anns := range per {
-		sort.Slice(anns, func(a, b int) bool {
-			ra, rb := anns[a].Ranges[0], anns[b].Ranges[0]
-			if ra.Base != rb.Base {
-				return ra.Base < rb.Base
-			}
-			return anns[a].Peer < anns[b].Peer
-		})
-	}
+// annotationOrder orders annotation lists by first range base, then peer.
+func annotationOrder(a, b Annotation) int {
+	return cmp.Or(cmp.Compare(a.Ranges[0].Base, b.Ranges[0].Base), cmp.Compare(a.Peer, b.Peer))
 }

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -398,6 +399,52 @@ func TestEmptyChunksHandled(t *testing.T) {
 		w := &IRWorkload{Name: "tiny", Prog: prog, Threads: 32}
 		if _, err := w.Run(hierFor(mode), mode); err != nil {
 			t.Errorf("%v: %v", mode, err)
+		}
+	}
+}
+
+// Annotations that tie on (first range base, peer) keep the order the
+// analysis derived them in: here two reads of the neighbor's X[4], one
+// word and then two words, on both the INV and the WB side.
+func TestAnnotationTiesKeepDerivationOrder(t *testing.T) {
+	prog := NewProgram("ties")
+	prog.Array("X", 8)
+	prog.Array("Y", 8)
+	produce := &Loop{
+		Name: "produce", Parallel: true, Lo: 0, Hi: 8,
+		Writes: []Write{{Array: "X", At: func(i int) int { return i }}},
+		Body:   func(i int, _ func(int) mem.Word) []mem.Word { return []mem.Word{mem.Word(i)} },
+	}
+	consume := &Loop{
+		Name: "consume", Parallel: true, Lo: 0, Hi: 8,
+		Reads: []Read{
+			{Array: "X", At: func(int) int { return 4 }},
+			{Array: "X", At: func(i int) int { return 4 + i%2 }},
+		},
+		Writes: []Write{{Array: "Y", At: func(i int) int { return i }}},
+		Body: func(_ int, read func(int) mem.Word) []mem.Word {
+			return []mem.Word{read(0) + read(1)}
+		},
+	}
+	prog.Add(produce, consume)
+	plan := Analyze(prog, 2)
+	for _, c := range []struct {
+		side string
+		anns []Annotation
+		peer int
+	}{
+		{"INV of thread 0", plan.Loops[consume].INVIn[0], 1},
+		{"WB of thread 1", plan.Loops[produce].WBOut[1], 0},
+	} {
+		var got []uint32
+		for _, a := range c.anns {
+			if a.Peer != c.peer || a.Multi || len(a.Ranges) != 1 {
+				t.Fatalf("%s: unexpected annotation %+v", c.side, a)
+			}
+			got = append(got, a.Ranges[0].Bytes)
+		}
+		if want := []uint32{mem.WordBytes, 2 * mem.WordBytes}; !slices.Equal(got, want) {
+			t.Errorf("%s: range sizes %v, want %v", c.side, got, want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package compiler
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/mem"
@@ -153,14 +155,8 @@ func (ex *executor) runLoop(l *Loop) {
 	// producer-consumer pairs).
 	if l.Reduction != nil && len(redLocal) > 0 {
 		arr := ex.prog.Arrays[l.Reduction.Array]
-		elems := make([]int, 0, len(redLocal))
-		set := make(map[int]bool, len(redLocal))
-		for e := range redLocal {
-			elems = append(elems, e)
-			set[e] = true
-		}
-		sortInts(elems)
-		ranges := elemsToRanges(arr, set)
+		elems := slices.Sorted(maps.Keys(redLocal))
+		ranges := elemsToRanges(arr, elems)
 		// A hierarchical-reduction rewrite confines each element to one
 		// block, so the merge uses a per-block lock and block-local
 		// coherence operations; a plain reduction must assume any thread
@@ -282,13 +278,5 @@ func (ex *executor) irregularINV(l *Loop, readIdx, i, elem int, rd *Read) {
 		ex.p.InvProd(r, writer)
 	} else {
 		ex.p.INVGlobal(r)
-	}
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
 	}
 }
